@@ -32,14 +32,17 @@ def main(argv: list[str] | None = None) -> int:
                              "primary-kill failover matrix) against "
                              "this many replicas instead of the "
                              "single-node soak")
-    parser.add_argument("--modes", default="sync(1),quorum",
-                        help="replication soak commit modes, "
+    parser.add_argument("--modes", default=None,
+                        help="with --soak --replicas: commit modes, "
                              "comma-separated (default "
-                             "'sync(1),quorum')")
-    parser.add_argument("--scenarios",
-                        default="partition,replica_crash,primary_kill",
-                        help="replication soak scenarios, "
-                             "comma-separated")
+                             "'sync(1),quorum'; with --shards exactly "
+                             "one mode for every lane, default "
+                             "'sync(1)')")
+    parser.add_argument("--scenarios", default=None,
+                        help="with --soak --replicas (no --shards): "
+                             "replication soak scenarios, "
+                             "comma-separated (default "
+                             "'partition,replica_crash,primary_kill')")
     parser.add_argument("--threads", type=int, default=8,
                         help="soak worker threads (default 8)")
     parser.add_argument("--ops", type=int, default=30,
@@ -50,8 +53,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="event-log JSONL path (default: inside "
                              "the soak's temp workdir)")
     parser.add_argument("--no-faults", action="store_true",
-                        help="soak without the fault schedule "
-                             "(pure concurrency check)")
+                        help="soak without injected faults: no fault "
+                             "controller, transport latency, clock "
+                             "skew or heartbeat loss (the epilogues "
+                             "still run)")
     parser.add_argument("--scrape-dir", default=None,
                         help="directory for the mid-soak /metrics and "
                              "/health scrape snapshots (default: the "
@@ -60,8 +65,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="soak without the live metrics endpoint "
                              "(skips the scrape checks)")
     parser.add_argument("--auto-failover", action="store_true",
-                        help="with --soak --replicas: run every cell "
-                             "under lease-based leadership (heartbeat "
+                        help="with --soak --replicas: run the "
+                             "replication groups (shard 0's under "
+                             "--shards) under lease-based leadership "
+                             "(heartbeat "
                              "failure detection, coordinator-driven "
                              "election) with clock skew and heartbeat "
                              "loss injected; the primary-kill and "
@@ -74,66 +81,35 @@ def main(argv: list[str] | None = None) -> int:
 
         return matrix_main()
 
-    if args.shards > 0:
-        from repro.faults.shard import ShardSoakConfig, run_shard_soak
+    from repro.faults.soak import SoakConfig, run_soak
 
-        shard_report = run_shard_soak(ShardSoakConfig(
+    try:
+        config = SoakConfig(
             shards=args.shards,
+            replicas=args.replicas,
+            modes=_csv(args.modes),
+            scenarios=_csv(args.scenarios),
+            auto_failover=args.auto_failover,
             threads=args.threads,
             ops_per_thread=args.ops,
             seed=args.seed,
-            replicas=args.replicas,
-            auto_failover=args.auto_failover,
             jsonl=args.jsonl,
             faults=not args.no_faults,
             serve_endpoint=not args.no_endpoint,
             scrape_dir=args.scrape_dir,
-        ))
-        for line in shard_report.lines():
-            print(line)
-        return 0 if shard_report.ok else 1
-
-    if args.replicas > 0:
-        from repro.faults.replication import (
-            ReplicationSoakConfig,
-            run_replication_soak,
         )
-
-        repl_report = run_replication_soak(ReplicationSoakConfig(
-            replicas=args.replicas,
-            threads=args.threads,
-            ops_per_thread=args.ops,
-            seed=args.seed,
-            jsonl=args.jsonl,
-            modes=tuple(
-                m.strip() for m in args.modes.split(",") if m.strip()
-            ),
-            scenarios=tuple(
-                s.strip() for s in args.scenarios.split(",")
-                if s.strip()
-            ),
-            serve_endpoint=not args.no_endpoint,
-            scrape_dir=args.scrape_dir,
-            auto_failover=args.auto_failover,
-        ))
-        for line in repl_report.lines():
-            print(line)
-        return 0 if repl_report.ok else 1
-
-    from repro.faults.soak import SoakConfig, run_soak
-
-    report = run_soak(SoakConfig(
-        threads=args.threads,
-        ops_per_thread=args.ops,
-        seed=args.seed,
-        jsonl=args.jsonl,
-        faults=not args.no_faults,
-        serve_endpoint=not args.no_endpoint,
-        scrape_dir=args.scrape_dir,
-    ))
+    except ValueError as exc:
+        parser.error(str(exc))
+    report = run_soak(config)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
+
+
+def _csv(text: str | None) -> tuple | None:
+    if text is None:
+        return None
+    return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
 if __name__ == "__main__":

@@ -224,8 +224,8 @@ def run_crash_matrix(base_dir: Path,
                      ) -> list[CrashOutcome]:
     """Every registered single-node fault point × its applicable
     faults, plus one un-faulted control run. ``repl.*`` points only
-    fire in a replicated topology; the failover matrix in
-    :mod:`repro.faults.replication` owns them."""
+    fire in a replicated topology; the replicated cells of the chaos
+    soak in :mod:`repro.faults.soak` own them."""
     outcomes: list[CrashOutcome] = []
     cell = 0
     for info in FAULTS.points():

@@ -39,8 +39,11 @@ __all__ = [
     "iter_chains",
     "truth_of",
     "truth_of_derived",
+    "truth_over",
     "derived_extension",
     "derived_image",
+    "extension_over",
+    "image_over",
 ]
 
 
@@ -202,17 +205,16 @@ def iter_chains(
         yield chain
 
 
-def truth_of_derived(
-    db: FunctionalDatabase, name: str, x: Value, y: Value
+def truth_over(
+    db: FunctionalDatabase, derivations: tuple[Derivation, ...],
+    x: Value, y: Value,
 ) -> Truth:
-    """Section 3.2 truth valuation of the derived fact ``name(x) = y``,
-    considering every confirmed derivation of the function."""
+    """Section 3.2 truth valuation of the fact ``(x, y)`` obtained
+    through any of ``derivations``: true as soon as one chain supports
+    it exactly, ambiguous if some chain does so only ambiguously."""
     obs_on = OBS.enabled  # hoisted: one global+attr load, not per chain
-    if obs_on:
-        OBS.inc("fdb.evaluate.truth_checks")
-    derived = db.derived(name)
     ambiguous_found = False
-    for derivation in derived.derivations:
+    for derivation in derivations:
         for chain in iter_chains(db, derivation, x, y):
             support = chain.supports(db)
             if obs_on:
@@ -223,6 +225,16 @@ def truth_of_derived(
             if support is Truth.AMBIGUOUS:
                 ambiguous_found = True
     return Truth.AMBIGUOUS if ambiguous_found else Truth.FALSE
+
+
+def truth_of_derived(
+    db: FunctionalDatabase, name: str, x: Value, y: Value
+) -> Truth:
+    """Section 3.2 truth valuation of the derived fact ``name(x) = y``,
+    considering every confirmed derivation of the function."""
+    if OBS.enabled:
+        OBS.inc("fdb.evaluate.truth_checks")
+    return truth_over(db, db.derived(name).derivations, x, y)
 
 
 def truth_of(db: FunctionalDatabase, name: str, x: Value, y: Value) -> Truth:
@@ -264,6 +276,29 @@ def _accumulate(
         )
 
 
+def extension_over(
+    db: FunctionalDatabase, derivations: tuple[Derivation, ...]
+) -> dict[tuple[Value, Value], Truth]:
+    """Every fact obtainable through ``derivations``, with its
+    strongest truth (false facts absent)."""
+    result: dict[tuple[Value, Value], Truth] = {}
+    for derivation in derivations:
+        _accumulate(db, iter_chains(db, derivation), result,
+                    label=str(derivation))
+    return result
+
+
+def image_over(
+    db: FunctionalDatabase, derivations: tuple[Derivation, ...], x: Value
+) -> dict[Value, Truth]:
+    """Range values reached from ``x`` through ``derivations``."""
+    pairs: dict[tuple[Value, Value], Truth] = {}
+    for derivation in derivations:
+        _accumulate(db, iter_chains(db, derivation, x=x), pairs,
+                    label=str(derivation))
+    return {y: truth for (_, y), truth in pairs.items()}
+
+
 def derived_extension(
     db: FunctionalDatabase, name: str
 ) -> dict[tuple[Value, Value], Truth]:
@@ -273,21 +308,11 @@ def derived_extension(
     This is what the paper prints as the Pupil column of the Section 4.2
     tables, ambiguous facts starred.
     """
-    derived = db.derived(name)
-    result: dict[tuple[Value, Value], Truth] = {}
-    for derivation in derived.derivations:
-        _accumulate(db, iter_chains(db, derivation), result,
-                    label=str(derivation))
-    return result
+    return extension_over(db, db.derived(name).derivations)
 
 
 def derived_image(
     db: FunctionalDatabase, name: str, x: Value
 ) -> dict[Value, Truth]:
     """Range values of ``x`` under a derived function, with truths."""
-    derived = db.derived(name)
-    pairs: dict[tuple[Value, Value], Truth] = {}
-    for derivation in derived.derivations:
-        _accumulate(db, iter_chains(db, derivation, x=x), pairs,
-                    label=str(derivation))
-    return {y: truth for (_, y), truth in pairs.items()}
+    return image_over(db, db.derived(name).derivations, x)

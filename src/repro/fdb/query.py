@@ -25,7 +25,10 @@ from typing import Iterator
 from repro.errors import DerivationError, SchemaError
 from repro.core.derivation import Derivation, Step
 from repro.fdb.database import FunctionalDatabase
-from repro.fdb.evaluate import _accumulate, iter_chains
+from repro.fdb.evaluate import extension_over, image_over, truth_over
+# iter_chains stays importable here: perfbench's per-layer tracer
+# patches this module's name along with the evaluator's.
+from repro.fdb.evaluate import iter_chains  # noqa: F401
 from repro.fdb.logic import Truth
 from repro.fdb.values import Value
 from repro.obs.hooks import OBS
@@ -93,15 +96,8 @@ class Query(abc.ABC):
             OBS.inc("fdb.query.pairs")
             with OBS.span("query.pairs", key=str(self), expr=str(self),
                           slow_detail=self._slow_detail(db)):
-                return self._pairs(db)
-        return self._pairs(db)
-
-    def _pairs(self, db: FunctionalDatabase) -> dict[tuple[Value, Value], Truth]:
-        result: dict[tuple[Value, Value], Truth] = {}
-        for derivation in self.derivations(db):
-            _accumulate(db, iter_chains(db, derivation), result,
-                        label=str(derivation))
-        return result
+                return extension_over(db, self.derivations(db))
+        return extension_over(db, self.derivations(db))
 
     def image(self, db: FunctionalDatabase, x: Value) -> dict[Value, Truth]:
         """Range values reached from ``x``, with truths."""
@@ -109,15 +105,8 @@ class Query(abc.ABC):
             OBS.inc("fdb.query.image")
             with OBS.span("query.image", key=str(self), expr=str(self), x=x,
                           slow_detail=self._slow_detail(db)):
-                return self._image(db, x)
-        return self._image(db, x)
-
-    def _image(self, db: FunctionalDatabase, x: Value) -> dict[Value, Truth]:
-        pairs: dict[tuple[Value, Value], Truth] = {}
-        for derivation in self.derivations(db):
-            _accumulate(db, iter_chains(db, derivation, x=x), pairs,
-                        label=str(derivation))
-        return {y: truth for (_, y), truth in pairs.items()}
+                return image_over(db, self.derivations(db), x)
+        return image_over(db, self.derivations(db), x)
 
     def preimage(self, db: FunctionalDatabase, y: Value) -> dict[Value, Truth]:
         """Domain values mapping to ``y``, with truths."""
@@ -129,19 +118,8 @@ class Query(abc.ABC):
             OBS.inc("fdb.query.truth")
             with OBS.span("query.truth", key=str(self), expr=str(self),
                           x=x, y=y, slow_detail=self._slow_detail(db)):
-                return self._truth(db, x, y)
-        return self._truth(db, x, y)
-
-    def _truth(self, db: FunctionalDatabase, x: Value, y: Value) -> Truth:
-        ambiguous = False
-        for derivation in self.derivations(db):
-            for chain in iter_chains(db, derivation, x, y):
-                support = chain.supports(db)
-                if support is Truth.TRUE:
-                    return Truth.TRUE
-                if support is Truth.AMBIGUOUS:
-                    ambiguous = True
-        return Truth.AMBIGUOUS if ambiguous else Truth.FALSE
+                return truth_over(db, self.derivations(db), x, y)
+        return truth_over(db, self.derivations(db), x, y)
 
 
 class _Function(Query):

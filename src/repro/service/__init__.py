@@ -3,8 +3,9 @@
 See :mod:`repro.service.service` for the architecture (derivation-
 cluster locking, global write serialisation, deadlines, retry,
 admission control, circuit breaker, drain) and
-``docs/ROBUSTNESS.md`` for the operator's view. The chaos soak
-harness that validates all of it lives in :mod:`repro.faults.soak`
+``docs/ROBUSTNESS.md`` for the operator's view. The chaos soak that
+validates all of it — single node, replicated and sharded topologies,
+one runner — lives in :mod:`repro.faults.soak`
 (``python -m repro.faults --soak``).
 """
 

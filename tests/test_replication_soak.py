@@ -1,4 +1,4 @@
-"""A small-matrix run of the replication chaos soak.
+"""A small-matrix run of the replicated chaos soak.
 
 The full matrix (``python -m repro.faults --soak --replicas 2``) runs
 in CI's ``replication-soak`` job; this keeps a scaled-down failover
@@ -8,14 +8,11 @@ exercised on every run, not just nightly.
 
 from __future__ import annotations
 
-from repro.faults.replication import (
-    ReplicationSoakConfig,
-    run_replication_soak,
-)
+from repro.faults.soak import SoakConfig, run_soak
 
 
 def test_small_soak_matrix_holds_invariants(tmp_path):
-    config = ReplicationSoakConfig(
+    config = SoakConfig(
         replicas=2,
         threads=2,
         ops_per_thread=8,
@@ -27,14 +24,14 @@ def test_small_soak_matrix_holds_invariants(tmp_path):
         workdir=str(tmp_path),
         serve_endpoint=False,
     )
-    report = run_replication_soak(config)
+    report = run_soak(config)
     assert report.ok, "\n".join(report.lines())
     assert len(report.cells) == 2
-    assert report.promotions >= 1  # the primary_kill cell failed over
-    assert report.fenced_writes >= 1
-    assert report.rejoins >= 1
+    assert report.actions["replication.promote"] >= 1  # primary_kill
+    assert report.actions["replication.write_fenced"] >= 1
+    assert report.actions["replication.rejoin"] >= 1
     kill = next(c for c in report.cells
-                if c.scenario == "primary_kill")
+                if c.label.endswith("primary_kill"))
     assert kill.promotion is not None
     assert kill.fence_seq is not None
     # every acked op survived: the cell records failures otherwise
