@@ -100,7 +100,7 @@ from repro.fdb.updates import (
     apply_update,
 )
 from repro.fdb.values import is_null
-from repro.fdb.wal import UpdateLog, _decode_entry, recover
+from repro.fdb.wal import UpdateLog, _decode_entry, decode_record, recover
 from repro.obs.endpoint import ExpositionError, parse_prometheus
 from repro.obs.events import (
     FileSink,
@@ -227,6 +227,20 @@ class SoakConfig:
                 f"a sharded soak needs at least one cluster per shard "
                 f"({self.clusters} clusters < {self.shards} shards)"
             )
+        # After a failover the promoted replica's group has R - 1
+        # followers left; a mode that needs more acks than that can
+        # never acknowledge the post-failover write.
+        if self.replicas and (self.shards or any(
+                _fails_over(self, scenario)
+                for scenario in self.scenarios or _SCENARIOS)):
+            modes = self.modes or _MODES
+            for mode in modes[:1] if self.shards else modes:
+                needed = CommitMode.parse(mode).required_acks(self.replicas)
+                if needed > self.replicas - 1:
+                    raise ValueError(
+                        f"{mode} with {self.replicas} replica(s) cannot "
+                        f"ack after a failover leaves {self.replicas - 1}"
+                    )
 
 
 @dataclass
@@ -837,7 +851,7 @@ def _journal_ops(group: ReplicationGroup) -> list:
     aborted: set[int] = set()
     entries: list[tuple[int, dict]] = []
     for _, line in group.shipper.journal():
-        payload = json.loads(line)
+        payload = decode_record(line)
         if "abort_of" in payload:
             aborted.add(payload["abort_of"])
         elif "entry" in payload:

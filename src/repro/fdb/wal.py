@@ -27,7 +27,14 @@ header record carrying the next sequence number). Besides ``entry``
 records there are ``abort_of`` records — compensation for an update
 that was durably logged but failed to apply — and the ``header``
 record. Legacy (v1) lines, bare update objects with neither checksum
-nor sequence number, are still replayed.
+nor sequence number, are still replayed. :func:`decode_record` is the
+one reader of this format.
+
+**The index.** An :class:`UpdateLog` answers every read from one index
+of its file: the scan result, without decoded entries, plus each
+record's line. One full read builds it; this log's appends extend it
+and its truncations rewrite it; it is rebuilt only when the file's
+(inode, size, mtime) stop matching — when something else wrote it.
 
 **Crash consistency.** Appends go through
 :func:`repro.fdb.storage.append_line` (flush + fsync before the append
@@ -60,7 +67,7 @@ import json
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -81,7 +88,8 @@ from repro.fdb.values import Value
 from repro.obs.hooks import OBS
 
 __all__ = ["UpdateLog", "LoggedDatabase", "checkpoint", "recover",
-           "RecoveryReport", "LogRecord", "LogProblem", "WAL_VERSION"]
+           "RecoveryReport", "LogRecord", "LogProblem", "RecordDamage",
+           "decode_record", "WAL_VERSION"]
 
 WAL_VERSION = 2
 
@@ -184,16 +192,70 @@ def _frame(payload: dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-@dataclass(frozen=True)
+class RecordDamage(PersistenceError):
+    """A log line that is not a sound record. ``tear`` marks a line
+    that is no record at all — what a torn final write leaves — as
+    opposed to a record that is corrupt or of an unknown version."""
+
+    def __init__(self, kind: str, detail: str, *,
+                 tear: bool = False) -> None:
+        super().__init__(detail)
+        self.kind = kind
+        self.tear = tear
+
+
+def decode_record(line: str) -> dict:
+    """Parse and verify one log line: the only reader of the record
+    format. Returns the payload (every key but ``v`` and ``crc``) with
+    an integer ``seq``; a legacy (v1) line, a bare update object,
+    comes back as ``{"seq": None, "entry": <the object>}``. Raises
+    :exc:`RecordDamage`.
+    """
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise RecordDamage("parse", str(exc), tear=True) from None
+    if not isinstance(raw, dict):
+        raise RecordDamage("parse", "not a JSON object", tear=True)
+    if "v" not in raw:
+        try:
+            _decode_entry(raw)
+        except (KeyError, TypeError, ValueError):
+            raise RecordDamage("parse", "undecodable legacy record",
+                               tear=True) from None
+        return {"seq": None, "entry": raw}
+    if raw["v"] != WAL_VERSION:
+        raise RecordDamage(
+            "parse", f"unsupported record version {raw['v']!r}")
+    payload = {k: v for k, v in raw.items() if k not in ("v", "crc")}
+    crc = _crc_of(payload)
+    if raw.get("crc") != crc:
+        raise RecordDamage(
+            "checksum", f"stored {raw.get('crc')!r} != computed {crc}")
+    if not isinstance(payload.get("seq"), int):
+        raise RecordDamage("parse", "record lacks a sequence number")
+    term = payload.get("term", 0)
+    if not isinstance(term, int):
+        raise RecordDamage("parse", f"non-integer term {term!r}")
+    return payload
+
+
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """One decoded, checksum-verified log record."""
 
     line_no: int
-    seq: int | None  # None for legacy (v1) records
+    seq: int | None  # None for legacy (v1) and header records
     entry: Update | UpdateSequence | None  # None for abort/header
     abort_of: int | None = None
     legacy: bool = False
     term: int = 0  # replication epoch; 0 before any failover
+
+    @property
+    def is_entry(self) -> bool:
+        """Whether the record carries an update (decoded or not)."""
+        return self.legacy or (self.seq is not None
+                               and self.abort_of is None)
 
 
 @dataclass(frozen=True)
@@ -231,6 +293,102 @@ class LogScan:
         terms = [r.term for r in self.records]
         return max(terms, default=self.base_term)
 
+    @property
+    def committed(self) -> int:
+        """Entries not compensated by an abort record."""
+        return sum(1 for r in self.records
+                   if r.is_entry and r.seq not in self.aborted)
+
+
+def _stat_key(path: Path) -> tuple[int, int, int] | None:
+    """What tells one state of the file from another."""
+    try:
+        stat = path.stat()
+    except FileNotFoundError:
+        return None
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
+class _LogIndex:
+    """The log file as scanned: a :class:`LogScan` whose records carry
+    no decoded entry, plus each record's line. Building feeds every
+    line of ``data`` through :meth:`feed`; the owning log's appends
+    feed their one new line the same way, so an extended index always
+    equals a fresh scan of the file."""
+
+    def __init__(self, key: tuple[int, int, int] | None,
+                 data: bytes = b"") -> None:
+        self.key = key  # (inode, size, mtime_ns) of the indexed file
+        self.scan = LogScan()
+        self.texts: list[str] = []  # the line of each record
+        self.lines = 0  # line numbers count blank lines too
+        lines = data.split(b"\n")
+        self.terminated = not lines[-1]  # ends in a newline, or empty
+        for raw in lines[:-1] if self.terminated else lines:
+            self.feed(raw.decode("utf-8", errors="replace"))
+
+    def feed(self, line: str, payload: dict | None = None) -> None:
+        """Index the file's next line. An append passes the ``payload``
+        it just framed, sparing the re-parse. A final line that fails
+        to parse is a torn tail — that append was never acknowledged —
+        until a later line makes it interior damage."""
+        self.lines += 1
+        line = line.strip()
+        if not line:
+            return
+        scan = self.scan
+        if scan.torn_tail:  # a line follows: interior damage
+            scan.problems[-1] = replace(scan.problems[-1], kind="parse")
+            scan.torn_tail = False
+        if payload is None:
+            try:
+                payload = decode_record(line)
+            except RecordDamage as damage:
+                scan.torn_tail = damage.tear
+                if damage.kind == "checksum":
+                    scan.checksum_failures += 1
+                    if OBS.enabled:
+                        OBS.inc("fdb.wal.checksum_failures")
+                scan.problems.append(LogProblem(
+                    self.lines, "torn-tail" if damage.tear else damage.kind,
+                    str(damage),
+                ))
+                return
+        seq, term = payload["seq"], payload.get("term", 0)
+        if "header" in payload:
+            scan.base_seq = payload["header"].get("next_seq", 1) - 1
+            scan.base_term = payload["header"].get("term", term)
+            record = LogRecord(self.lines, None, None, term=term)
+        elif seq is None:
+            scan.legacy_records += 1
+            record = LogRecord(self.lines, None, None, legacy=True)
+        else:
+            reference = next((r.seq for r in reversed(scan.records)
+                              if r.seq is not None), scan.base_seq)
+            if seq != reference + 1:
+                scan.problems.append(LogProblem(
+                    self.lines, "gap", f"sequence {seq} after {reference}"
+                ))
+            abort_of = payload.get("abort_of")
+            if abort_of is not None:
+                scan.aborted.add(abort_of)
+            record = LogRecord(self.lines, seq, None, abort_of=abort_of,
+                               term=term)
+        scan.records.append(record)
+        self.texts.append(line)
+
+
+def _entry_of(record: LogRecord, line: str) -> Update | UpdateSequence:
+    """Decode an indexed entry record's update. Its checksum matched,
+    so the record is as written and a failure is a writer bug, not
+    disk damage: always fatal."""
+    try:
+        return _decode_entry(decode_record(line)["entry"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PersistenceError(
+            f"undecodable log entry at line {record.line_no}: {exc}"
+        ) from exc
+
 
 class UpdateLog:
     """Append-only, checksummed JSON-lines log of updates.
@@ -238,7 +396,8 @@ class UpdateLog:
     Every acknowledged append is fsync'd (``fsync=False`` trades the
     power-loss guarantee for speed); transient ``OSError`` during the
     write is retried ``retries`` times with exponential backoff before
-    giving up.
+    giving up. Reads are answered from the log's index (see the module
+    docstring), which assumes one writing ``UpdateLog`` per file.
     """
 
     def __init__(self, path: str | Path, *, fsync: bool = True,
@@ -253,12 +412,9 @@ class UpdateLog:
         # is omitted from the frame so single-node logs stay
         # byte-identical to v2 before terms existed.
         self.term = term
-        self._next_seq: int | None = None  # lazy: scanned on first use
-        self._cache: tuple[int, int] | None = None  # (file size, count)
-        # health(): scan results keyed on (size, mtime_ns) so /metrics
-        # and /health scrapes don't rescan a quiescent log.
-        self._health_cache: tuple[tuple[int, int], dict] | None = None
-        self._seq_lock = threading.Lock()
+        self._next_seq: int | None = None  # lazy: from the index
+        self._index: _LogIndex | None = None  # lazy: built on first use
+        self._lock = threading.RLock()
 
     def _payload(self, payload: dict) -> dict:
         if self.term:
@@ -276,23 +432,20 @@ class UpdateLog:
         # be able to leave a claimed-but-unwritten sequence number.
         cancel.checkpoint()
         seq = self._claim_seq()
-        line = _frame(self._payload(
-            {"seq": seq, "entry": _encode_entry(update)}
-        ))
+        payload = self._payload({"seq": seq,
+                                 "entry": _encode_entry(update)})
         if not OBS.enabled:
-            self._write_claimed(seq, line)
-            self._note_appended(committed=1)
+            self._write_claimed(seq, payload)
             return seq
-        # Instrumented path: count appends and time the full durable
-        # write (open + write + flush + fsync), the WAL's ack cost.
+        # Instrumented path: count appends and time the whole append
+        # (frame, open + write + flush + fsync, index) — the ack cost.
         OBS.inc("fdb.wal.appends")
         started = time.perf_counter()
-        self._write_claimed(seq, line)
+        self._write_claimed(seq, payload)
         OBS.observe("fdb.wal.append_seconds",
                     time.perf_counter() - started)
         OBS.gauge("fdb.wal.last_seq", seq)
         OBS.event("wal.append", entry=str(update))
-        self._note_appended(committed=1)
         return seq
 
     def append_abort(self, seq: int) -> None:
@@ -302,27 +455,23 @@ class UpdateLog:
         (especially) when the request that needs it is past deadline.
         """
         abort_seq = self._claim_seq()
-        line = _frame(self._payload(
+        self._write_claimed(abort_seq, self._payload(
             {"seq": abort_seq, "abort_of": seq}
         ))
-        self._write_claimed(abort_seq, line)
         if OBS.enabled:
             OBS.inc("fdb.wal.aborts")
             OBS.event("wal.abort", aborted_seq=seq)
-        # The aborted entry no longer counts as committed.
-        self._note_appended(committed=-1)
 
     def _claim_seq(self) -> int:
-        with self._seq_lock:
-            if self._next_seq is None:
-                self._next_seq = self._scan("salvage").max_seq + 1
-            seq = self._next_seq
-            self._next_seq += 1
+        with self._lock:
+            seq = self.last_seq() + 1
+            self._next_seq = seq + 1
             return seq
 
-    def _write_claimed(self, seq: int, line: str) -> None:
+    def _write_claimed(self, seq: int, payload: dict) -> None:
         """Write a record whose sequence number is already claimed,
-        unclaiming it if the write never lands.
+        unclaiming it if the write never lands; then extend the index
+        by it, unless something else wrote the file meanwhile.
 
         Without the rollback, a failed write (retries exhausted during
         a storage outage) would leave ``_next_seq`` advanced past a
@@ -330,13 +479,26 @@ class UpdateLog:
         would commit a sequence *gap* — which strict recovery rightly
         refuses to replay.
         """
+        line = _frame(payload)
+        before = _stat_key(self.path)
         try:
             self._write_line(line)
         except BaseException:
-            with self._seq_lock:
+            with self._lock:
                 if self._next_seq == seq + 1:
                     self._next_seq = seq
             raise
+        after = _stat_key(self.path)
+        grown = (before[1] if before else 0) + len(line.encode("utf-8")) + 1
+        with self._lock:
+            index = self._index
+            if (index is not None and index.key == before
+                    and index.terminated and after is not None
+                    and after[1] == grown):
+                index.feed(line, payload)
+                index.key = after
+            else:
+                self._index = None
 
     def _write_line(self, line: str) -> None:
         """The durable write, with transient-error retry."""
@@ -358,301 +520,137 @@ class UpdateLog:
                 time.sleep(self.backoff * (2 ** attempt))
                 attempt += 1
 
-    def _note_appended(self, committed: int) -> None:
-        if self._cache is not None:
-            try:
-                size = self.path.stat().st_size
-            except OSError:
-                self._cache = None
-                return
-            self._cache = (size, self._cache[1] + committed)
+    # -- the index ----------------------------------------------------------
 
-    # -- scanning -----------------------------------------------------------
+    def _current(self) -> _LogIndex:
+        """The index of the file as it is now."""
+        with self._lock:
+            if self._index is None \
+                    or self._index.key != _stat_key(self.path):
+                self._index = self._scan()
+            return self._index
 
-    def _scan(self, policy: str) -> LogScan:
-        """One streaming pass: decode, verify checksums, track
-        sequence numbers, classify damage.
+    def _scan(self) -> _LogIndex:
+        """The one full read of the file. The key carries the size read,
+        so an append racing the read can never extend this index."""
+        key = _stat_key(self.path)
+        data = self.path.read_bytes() if key else b""
+        return _LogIndex(key and (key[0], len(data), key[2]), data)
 
-        ``strict`` raises on interior damage; ``salvage`` records the
-        problem and skips the record. A final line that fails to parse
-        is a torn tail under both policies — that append was never
-        acknowledged.
-        """
-        scan = LogScan()
-        if not self.path.exists():
-            return scan
-        pending: LogProblem | None = None  # unparsed line, maybe a tear
-        last_seq: int | None = None
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line_no, raw_line in enumerate(handle, 1):
-                line = raw_line.strip()
-                if not line:
-                    continue
-                if pending is not None:
-                    # Valid data follows the bad line: interior damage,
-                    # not a tear.
-                    self._problem(scan, policy, pending)
-                    pending = None
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    pending = LogProblem(line_no, "parse", str(exc))
-                    continue
-                if not isinstance(raw, dict):
-                    pending = LogProblem(line_no, "parse",
-                                         "not a JSON object")
-                    continue
-                if "v" not in raw:
-                    record = self._decode_legacy(raw, line_no)
-                    if record is None:
-                        pending = LogProblem(
-                            line_no, "parse", "undecodable legacy record"
-                        )
-                        continue
-                    scan.legacy_records += 1
-                    scan.records.append(record)
-                    continue
-                record = self._decode_v2(raw, line_no, scan, policy)
-                if record is None:
-                    continue
-                if record.seq is not None:
-                    reference = (last_seq if last_seq is not None
-                                 else scan.base_seq)
-                    if record.seq != reference + 1:
-                        self._problem(scan, policy, LogProblem(
-                            line_no, "gap",
-                            f"sequence {record.seq} after {reference}",
-                        ))
-                    last_seq = record.seq
-                if record.abort_of is not None:
-                    scan.aborted.add(record.abort_of)
-                scan.records.append(record)
-        if pending is not None:
-            scan.torn_tail = True
-            scan.problems.append(LogProblem(
-                pending.line_no, "torn-tail", pending.detail
-            ))
-        return scan
+    def _rewrite(self, body: bytes) -> None:
+        """Atomically replace the file and its index. Caller holds the
+        lock."""
+        storage.atomic_write(self.path, body)
+        self._index = _LogIndex(_stat_key(self.path), body)
+        self._next_seq = None  # re-derived from what was written
 
-    def _decode_v2(self, raw: dict, line_no: int, scan: LogScan,
-                   policy: str) -> LogRecord | None:
-        if raw.get("v") != WAL_VERSION:
-            self._problem(scan, policy, LogProblem(
-                line_no, "parse",
-                f"unsupported record version {raw.get('v')!r}",
-            ))
-            return None
-        payload = {k: v for k, v in raw.items() if k not in ("v", "crc")}
-        if raw.get("crc") != _crc_of(payload):
-            scan.checksum_failures += 1
-            if OBS.enabled:
-                OBS.inc("fdb.wal.checksum_failures")
-            self._problem(scan, policy, LogProblem(
-                line_no, "checksum",
-                f"stored {raw.get('crc')!r} != computed "
-                f"{_crc_of(payload)}",
-            ))
-            return None
-        seq = payload.get("seq")
-        if not isinstance(seq, int):
-            self._problem(scan, policy, LogProblem(
-                line_no, "parse", "record lacks a sequence number"
-            ))
-            return None
-        term = payload.get("term", 0)
-        if not isinstance(term, int):
-            self._problem(scan, policy, LogProblem(
-                line_no, "parse", f"non-integer term {term!r}"
-            ))
-            return None
-        if "header" in payload:
-            scan.base_seq = payload["header"].get("next_seq", 1) - 1
-            scan.base_term = payload["header"].get("term", term)
-            return LogRecord(line_no, None, None, term=term)
-        if "abort_of" in payload:
-            return LogRecord(line_no, seq, None,
-                             abort_of=payload["abort_of"], term=term)
-        try:
-            entry = _decode_entry(payload["entry"])
-        except (KeyError, TypeError, ValueError) as exc:
-            # The checksum matched, so the record is as written and
-            # the writer produced something this reader cannot decode:
-            # a version/logic bug, not disk damage. Always fatal.
-            raise PersistenceError(
-                f"undecodable log entry at line {line_no}: {exc}"
-            ) from exc
-        return LogRecord(line_no, seq, entry, term=term)
-
-    @staticmethod
-    def _decode_legacy(raw: dict, line_no: int) -> LogRecord | None:
-        try:
-            return LogRecord(line_no, None, _decode_entry(raw),
-                             legacy=True)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    @staticmethod
-    def _problem(scan: LogScan, policy: str,
-                 problem: LogProblem) -> None:
-        if policy == "strict":
-            raise PersistenceError(f"corrupt log: {problem}")
-        scan.problems.append(problem)
+    def _keep_lines(self, count: int) -> int:
+        """Rewrite the file keeping its first ``count`` lines; returns
+        how many non-blank lines went. Caller holds the lock."""
+        lines = self.path.read_bytes().split(b"\n")
+        dropped = sum(1 for line in lines[count:] if line.strip())
+        if dropped:
+            self._rewrite(b"".join(line + b"\n" for line in lines[:count]))
+        return dropped
 
     # -- reading ------------------------------------------------------------
 
     def scan(self, policy: str = "strict") -> LogScan:
         """Scan the whole log under a recovery policy (see module
-        docstring)."""
+        docstring): ``strict`` raises on interior damage, ``salvage``
+        reports it and skips the damaged records."""
         if policy not in ("strict", "salvage"):
             raise ValueError(
                 f"policy must be 'strict' or 'salvage', not {policy!r}"
             )
-        return self._scan(policy)
+        with self._lock:
+            index = self._current()
+            scan = index.scan
+            interior = [p for p in scan.problems if p.kind != "torn-tail"]
+            if policy == "strict" and interior:
+                raise PersistenceError(f"corrupt log: {interior[0]}")
+            records = [replace(r, entry=_entry_of(r, line)) if r.is_entry
+                       else r for r, line in zip(scan.records, index.texts)]
+            return replace(scan, records=records,
+                           problems=list(scan.problems),
+                           aborted=set(scan.aborted))
 
     def entries(self) -> Iterator[Update | UpdateSequence]:
         """Committed entries in order: torn tails and aborted records
         are skipped, interior corruption raises (strict policy)."""
-        scan = self._scan("strict")
+        scan = self.scan("strict")
         for record in scan.records:
-            if record.entry is None:
-                continue
-            if record.seq is not None and record.seq in scan.aborted:
-                continue
-            yield record.entry
+            if record.entry is not None and record.seq not in scan.aborted:
+                yield record.entry
 
     @property
     def tail_is_torn(self) -> bool:
         """Whether the final line is an unparseable fragment (the
-        mid-write crash signature). Reads only the file's tail."""
-        line = self._last_nonblank_line()
-        if line is None:
-            return False
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError:
-            return True
-        if not isinstance(raw, dict):
-            return True
-        if "v" in raw:
-            # A parseable v2 record is never a tear; a bad checksum
-            # there is corruption, which scan()/recover() report.
-            return False
-        return self._decode_legacy(raw, 0) is None
-
-    def _last_nonblank_line(self, block: int = 4096) -> str | None:
-        """The last non-blank line, read backwards in blocks."""
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return None
-        if size == 0:
-            return None
-        with self.path.open("rb") as handle:
-            buffer = b""
-            position = size
-            while position > 0:
-                step = min(block, position)
-                position -= step
-                handle.seek(position)
-                buffer = handle.read(step) + buffer
-                stripped = buffer.rstrip()
-                if not stripped:
-                    continue  # trailing blank lines; keep reading back
-                # The final line is fully buffered once a newline
-                # precedes it, or the buffer reaches the file start.
-                if position == 0 or b"\n" in stripped:
-                    return (stripped.split(b"\n")[-1].strip()
-                            .decode("utf-8", errors="replace"))
-        return None
+        mid-write crash signature)."""
+        return self._current().scan.torn_tail
 
     def last_seq(self) -> int:
         """The highest sequence number ever claimed in this log
         generation (0 for a fresh or legacy log)."""
-        if self._next_seq is None:
-            self._next_seq = self._scan("salvage").max_seq + 1
-        return self._next_seq - 1
+        with self._lock:
+            if self._next_seq is None:
+                self._next_seq = self._current().scan.max_seq + 1
+            return self._next_seq - 1
 
     # -- shipping -----------------------------------------------------------
 
     def records_between(self, lo: int, hi: int) -> list[tuple[int, str]]:
-        """The raw framed lines of every v2 record with sequence
-        number in ``(lo, hi]``, in order — what :class:`WalShipper
-        <repro.replication.shipper.WalShipper>` streams to replicas.
+        """The raw framed lines of the gap-free run of records with
+        sequence numbers ``lo + 1, lo + 2, ...`` up to ``hi`` — what
+        :class:`WalShipper <repro.replication.shipper.WalShipper>`
+        streams to replicas.
 
         Header records (checkpoint bookkeeping, meaningless off this
-        node) and damaged lines are skipped; abort records ship, so a
-        replica's log stays a byte-for-byte prefix copy of the
-        primary's record stream. Returns fewer records than requested
-        when a checkpoint already folded part of the range into the
-        snapshot (``base_seq > lo``) — the caller must then fall back
-        to snapshot shipping.
+        node) are skipped; abort records ship, so a replica's log stays
+        a byte-for-byte prefix copy of the primary's record stream. The
+        run stops at the first missing sequence number — folded into
+        the snapshot by a checkpoint, or lost to a damaged line — and
+        an empty or short answer tells the caller to fall back to
+        snapshot shipping.
         """
-        if hi <= lo:
-            return []
-        out: list[tuple[int, str]] = []
-        if not self.path.exists():
-            return out
-        with self.path.open("r", encoding="utf-8") as handle:
-            for raw_line in handle:
-                line = raw_line.strip()
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # damaged or torn; scan() classifies it
-                if not isinstance(raw, dict) or raw.get("v") != WAL_VERSION:
-                    continue
-                if "header" in raw:
-                    continue
-                seq = raw.get("seq")
-                if isinstance(seq, int) and lo < seq <= hi:
-                    out.append((seq, line))
-        return out
+        index = self._current()
+        records = index.scan.records
+        first = len(records)
+        while first and (records[first - 1].seq is None
+                         or records[first - 1].seq > lo):
+            first -= 1
+        run: list[tuple[int, str]] = []
+        for record, line in zip(records[first:], index.texts[first:]):
+            if record.seq is None:
+                continue
+            if record.seq != lo + 1 + len(run) or record.seq > hi:
+                break
+            run.append((record.seq, line))
+        return run
 
     def shippable_floor(self) -> int:
         """The highest sequence number already folded away by a
         checkpoint: records at or below it cannot be shipped from this
         log and require snapshot catch-up."""
-        return self._scan("salvage").base_seq
+        return self._current().scan.base_seq
 
     # -- repair -------------------------------------------------------------
 
     def truncate_to(self, seq: int) -> int:
-        """Atomically drop every record with a sequence number above
-        ``seq`` (the fencing repair: a rejoining deposed primary cuts
-        its unacknowledged tail back to the prefix the new primary's
-        history extends). Returns how many records were dropped."""
-        if not self.path.exists():
-            return 0
-        kept: list[str] = []
-        dropped = 0
-        with self.path.open("r", encoding="utf-8") as handle:
-            for raw_line in handle:
-                line = raw_line.strip()
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError:
-                    dropped += 1  # torn/damaged lines go with the tail
-                    continue
-                record_seq = raw.get("seq") if isinstance(raw, dict) \
-                    else None
-                if isinstance(record_seq, int) and record_seq > seq:
-                    dropped += 1
-                    continue
-                kept.append(line)
-        if dropped:
-            body = "\n".join(kept) + ("\n" if kept else "")
-            storage.atomic_write(self.path, body)
-            with self._seq_lock:
-                self._next_seq = None  # rescan on next claim
-            self._cache = None
-            self._health_cache = None
-            if OBS.enabled:
-                OBS.inc("fdb.wal.truncated_records", dropped)
-                OBS.action("wal.truncate_to", seq=seq, dropped=dropped)
+        """Atomically cut every line after the last record with a
+        sequence number at or below ``seq`` (the fencing repair: a
+        rejoining deposed primary cuts its unacknowledged tail back to
+        the prefix the new primary's history extends). Damage before
+        that record stays for scan()/recover() to report. Returns how
+        many non-blank lines were cut."""
+        with self._lock:
+            index = self._current()
+            keep = next((r.line_no for r in reversed(index.scan.records)
+                         if r.seq is None or r.seq <= seq), 0)
+            dropped = self._keep_lines(keep) if keep < index.lines else 0
+        if dropped and OBS.enabled:
+            OBS.inc("fdb.wal.truncated_records", dropped)
+            OBS.action("wal.truncate_to", seq=seq, dropped=dropped)
         return dropped
 
     def discard_torn_tail(self) -> bool:
@@ -661,16 +659,11 @@ class UpdateLog:
         shipping without the fragment. Returns whether a tear was
         removed. Interior damage is untouched — that is corruption,
         not a tear, and scan()/recover() must report it."""
-        if not self.tail_is_torn:
-            return False
-        text = self.path.read_text(encoding="utf-8")
-        lines = [line for line in text.splitlines() if line.strip()]
-        body = "\n".join(lines[:-1]) + ("\n" if lines[:-1] else "")
-        storage.atomic_write(self.path, body)
-        with self._seq_lock:
-            self._next_seq = None
-        self._cache = None
-        self._health_cache = None
+        with self._lock:
+            scan = self._current().scan
+            if not scan.torn_tail:
+                return False
+            self._keep_lines(scan.problems[-1].line_no - 1)
         if OBS.enabled:
             OBS.inc("fdb.wal.torn_tails_discarded")
             OBS.action("wal.torn_tail_discarded", path=str(self.path))
@@ -681,48 +674,19 @@ class UpdateLog:
     def health(self) -> dict:
         """One JSON-ready view of the log's durability state: last
         sequence number, current term, torn-tail flag, committed entry
-        count, and damage tallies from a salvage scan. The scan is
-        cached against the file's (size, mtime), so monitoring
-        surfaces (``stats``/``/metrics``/``/health``/``monitor``) that
-        scrape between appends pay O(log size) only when the log
-        actually changed."""
-        try:
-            stat = self.path.stat()
-            key = (stat.st_size, stat.st_mtime_ns)
-        except OSError:
-            key = None
-        cached = self._health_cache
-        if key is not None and cached is not None and cached[0] == key:
-            scanned = cached[1]
-        else:
-            # Stat happens before the scan: a record landing between
-            # the two makes the cached view *fresher* than its key,
-            # never staler, and the next size change invalidates it.
-            scan = self._scan("salvage")
-            scanned = {
-                "last_seq": scan.max_seq,
-                "scan_term": scan.max_term,
-                "tail_torn": scan.torn_tail,
-                "entries": sum(
-                    1 for r in scan.records
-                    if r.entry is not None
-                    and (r.seq is None or r.seq not in scan.aborted)
-                ),
-                "aborted": len(scan.aborted),
-                "checksum_failures": scan.checksum_failures,
-                "problems": len(scan.problems),
-            }
-            self._health_cache = (key, scanned) \
-                if key is not None else None
+        count, and damage tallies — read off the index, so monitoring
+        surfaces (``stats``/``/metrics``/``/health``/``monitor``) never
+        rescan a log this process wrote."""
+        scan = self._current().scan
         health = {
             "path": str(self.path),
-            "last_seq": scanned["last_seq"],
-            "term": max(self.term, scanned["scan_term"]),
-            "tail_torn": scanned["tail_torn"],
-            "entries": scanned["entries"],
-            "aborted": scanned["aborted"],
-            "checksum_failures": scanned["checksum_failures"],
-            "problems": scanned["problems"],
+            "last_seq": scan.max_seq,
+            "term": max(self.term, scan.max_term),
+            "tail_torn": scan.torn_tail,
+            "entries": scan.committed,
+            "aborted": len(scan.aborted),
+            "checksum_failures": scan.checksum_failures,
+            "problems": len(scan.problems),
         }
         if OBS.enabled:
             OBS.gauge("fdb.wal.last_seq", health["last_seq"])
@@ -737,35 +701,19 @@ class UpdateLog:
         that monotonicity is what lets recovery tell "already folded
         into the snapshot" from "new since the snapshot".
         """
-        if next_seq is None or next_seq <= 1:
-            storage.atomic_write(self.path, "")
-            with self._seq_lock:
-                self._next_seq = 1
-        else:
+        body = ""
+        if next_seq is not None and next_seq > 1:
             meta: dict = {"next_seq": next_seq}
             if self.term:
                 meta["term"] = self.term
-            header = _frame(self._payload({"seq": next_seq - 1,
-                                           "header": meta}))
-            storage.atomic_write(self.path, header + "\n")
-            with self._seq_lock:
-                self._next_seq = next_seq
-        self._cache = (self.path.stat().st_size, 0)
-        self._health_cache = None
+            body = _frame(self._payload({"seq": next_seq - 1,
+                                         "header": meta})) + "\n"
+        with self._lock:
+            self._rewrite(body.encode("utf-8"))
 
     def __len__(self) -> int:
-        """Number of committed entries. Cached between calls; the
-        cache is revalidated against the file size, so external
-        writes (or another process) force a rescan."""
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return 0
-        if self._cache is not None and self._cache[0] == size:
-            return self._cache[1]
-        count = sum(1 for _ in self.entries())
-        self._cache = (size, count)
-        return count
+        """Number of committed entries."""
+        return self._current().scan.committed
 
 
 # -- the write-ahead wrapper --------------------------------------------------

@@ -51,7 +51,6 @@ from repro.obs.hooks import OBS, Instrumentation
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     LogHistogram,
     MetricError,
     MetricsRegistry,
@@ -84,7 +83,6 @@ __all__ = [
     "Instrumentation",
     "Counter",
     "Gauge",
-    "Histogram",
     "LogHistogram",
     "MetricError",
     "MetricsRegistry",

@@ -5,11 +5,9 @@ on a background thread and serves three routes:
 
 * ``/metrics`` — the registry in Prometheus text exposition format
   0.0.4 (:func:`render_prometheus`): counters as ``_total`` samples,
-  gauges as-is, sampling histograms as summaries with quantile labels,
-  log-bucketed histograms as real Prometheus histograms with
-  cumulative ``le`` buckets (mergeable server-side, exactly because
-  :class:`repro.obs.metrics.LogHistogram` keeps cumulative-friendly
-  buckets).
+  gauges as-is, and every histogram — there is one type,
+  :class:`repro.obs.metrics.LogHistogram` — as a real Prometheus
+  histogram with cumulative ``le`` buckets (mergeable server-side).
 * ``/health`` — liveness verdict: HTTP 200 with a JSON body when the
   supplied health probe (breaker state + SLO alerts for the service)
   says healthy, 503 otherwise — the shape load balancers and soak
@@ -38,8 +36,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from repro.errors import ReproError
-from repro.obs.metrics import (Counter, Gauge, Histogram, LogHistogram,
-                               MetricsRegistry)
+from repro.obs.metrics import Counter, Gauge, LogHistogram, MetricsRegistry
 
 __all__ = ["MetricsEndpoint", "ExpositionError", "render_prometheus",
            "parse_prometheus"]
@@ -103,16 +100,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
                     f'{name}_bucket{{le="{_fmt(bound)}"}} {cumulative}'
                 )
             lines.append(f'{name}_bucket{{le="+Inf"}} {ins.count}')
-            lines.append(f"{name}_sum {_fmt(ins.total)}")
-            lines.append(f"{name}_count {ins.count}")
-        elif isinstance(ins, Histogram):
-            lines.append(f"# HELP {name} {ins.name}")
-            lines.append(f"# TYPE {name} summary")
-            for q in (0.5, 0.95, 0.99):
-                lines.append(
-                    f'{name}{{quantile="{_fmt(q)}"}} '
-                    f"{_fmt(ins.percentile(q * 100))}"
-                )
             lines.append(f"{name}_sum {_fmt(ins.total)}")
             lines.append(f"{name}_count {ins.count}")
     return "\n".join(lines) + "\n"

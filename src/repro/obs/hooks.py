@@ -345,12 +345,6 @@ class Instrumentation:
         if self.enabled:
             self.metrics.histogram(name).observe(value)
 
-    def observe_log(self, name: str, value: float) -> None:
-        """Observe into a log-bucketed histogram (accurate tails over
-        unbounded streams — the service RED durations)."""
-        if self.enabled:
-            self.metrics.log_histogram(name).observe(value)
-
     def gauge(self, name: str, value: float) -> None:
         if self.enabled:
             self.metrics.gauge(name).set(value)

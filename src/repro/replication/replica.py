@@ -14,10 +14,12 @@ The replica speaks the shipper's message protocol via :meth:`handle`:
 
 * ``append`` — a batch of raw framed v2 records ``(applied_seq, hi]``
   plus the ``through_seq`` high-water mark. Records the replica
-  already holds are skipped (re-shipment after a lost ack), a gap
-  means the shipper must back up (reply ``error: gap``), and a term
-  below the replica's own is refused outright (``error: stale-term``
-  — a deposed primary must never extend a follower's history).
+  already holds are skipped (re-shipment after a lost ack); a batch
+  whose sequence numbers are not consecutive from ``applied_seq + 1``
+  is refused (``error: gap``: the shipper falls back to a snapshot);
+  a term below the replica's own is refused outright (``error:
+  stale-term`` — a deposed primary must never extend a follower's
+  history).
 * ``snapshot`` — full-state catch-up: install the snapshot, reset the
   local log to a header at ``wal_applied``.
 * ``status`` — ``applied_seq`` / ``term`` for promotion decisions.
@@ -32,7 +34,6 @@ an entry whose abort is already in the shipped history behind it.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from pathlib import Path
@@ -43,7 +44,7 @@ from repro.fdb import persistence, storage
 from repro.fdb.database import FunctionalDatabase
 from repro.fdb.transaction import Transaction
 from repro.fdb.updates import UpdateSequence, apply_update
-from repro.fdb.wal import WAL_VERSION, UpdateLog, _crc_of, _decode_entry
+from repro.fdb.wal import UpdateLog, _decode_entry, decode_record, recover
 from repro.obs.hooks import OBS
 from repro.replication.transport import decode_snapshot
 
@@ -103,7 +104,6 @@ class Replica:
                 self.crashed = False
                 self.diverged = False
                 return
-            from repro.fdb.wal import recover
             report = recover(self.snapshot_path, self.wal_path,
                              policy="strict")
             _, meta = persistence.load_with_meta(self.snapshot_path)
@@ -162,37 +162,30 @@ class Replica:
     def _append_received(self, term: int, records: list,
                          through_seq: int, scope) -> dict:
         # Caller holds the lock and the receive span.
+        def refuse(error: str, **extra) -> dict:
+            scope.attrs["error"] = error.partition(":")[0]
+            return {"ok": False, "error": error,
+                    "applied_seq": self.applied_seq, **extra}
+
         if term < self.term:
-            scope.attrs["error"] = "stale-term"
-            return {"ok": False, "error": "stale-term",
-                    "term": self.term,
-                    "applied_seq": self.applied_seq}
+            return refuse("stale-term", term=self.term)
         if self.diverged:
-            scope.attrs["error"] = "diverged"
-            return {"ok": False, "error": "diverged",
-                    "applied_seq": self.applied_seq}
+            return refuse("diverged")
         if self.db is None:
-            scope.attrs["error"] = "needs-snapshot"
-            return {"ok": False, "error": "needs-snapshot",
-                    "applied_seq": self.applied_seq}
+            return refuse("needs-snapshot")
         try:
-            decoded = [self._decode(line) for line in records]
+            payloads = [decode_record(line) for line in records]
+            if any(payload["seq"] is None for payload in payloads):
+                raise PersistenceError("not a v2 record")
         except PersistenceError as exc:
-            scope.attrs["error"] = "bad-record"
-            return {"ok": False, "error": f"bad-record: {exc}",
-                    "applied_seq": self.applied_seq}
+            return refuse(f"bad-record: {exc}")
+        seqs = [payload["seq"] for payload in payloads]
         fresh = [(seq, payload, line)
-                 for seq, payload, line in decoded
+                 for seq, payload, line in zip(seqs, payloads, records)
                  if seq > self.applied_seq]
-        expected = self.applied_seq + 1
-        if fresh and fresh[0][0] != expected:
-            scope.attrs["error"] = "gap"
-            return {"ok": False, "error": "gap",
-                    "applied_seq": self.applied_seq}
-        if not fresh and through_seq > self.applied_seq and records:
-            # Everything shipped was already applied but the high
-            # water mark still advances (ack-lost re-shipment).
-            pass
+        if any(b != a + 1 for a, b in zip(seqs, seqs[1:])) or (
+                fresh and fresh[0][0] != self.applied_seq + 1):
+            return refuse("gap")
         aborted = {payload["abort_of"]
                    for _, payload, _ in fresh
                    if "abort_of" in payload}
@@ -246,7 +239,7 @@ class Replica:
                 if enabled:
                     scope.attrs["appended_to"] = seq
         if enabled:
-            OBS.observe_log(
+            OBS.observe(
                 f"replication.pipeline.wal_append_seconds.{self.name}",
                 time.perf_counter() - started,
             )
@@ -284,27 +277,10 @@ class Replica:
                 if enabled:
                     scope.attrs["applied_to"] = seq
         if enabled:
-            OBS.observe_log(
+            OBS.observe(
                 f"replication.pipeline.apply_seconds.{self.name}",
                 time.perf_counter() - started,
             )
-
-    @staticmethod
-    def _decode(line: str) -> tuple[int, dict, str]:
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(f"unparseable record: {exc}") from exc
-        if not isinstance(raw, dict) or raw.get("v") != WAL_VERSION:
-            raise PersistenceError("not a v2 record")
-        payload = {k: v for k, v in raw.items() if k not in ("v", "crc")}
-        if raw.get("crc") != _crc_of(payload):
-            raise PersistenceError("checksum mismatch in shipped record")
-        seq = payload.get("seq")
-        if not isinstance(seq, int):
-            raise PersistenceError("shipped record lacks a sequence "
-                                   "number")
-        return seq, payload, line
 
     def _handle_snapshot(self, message: dict) -> dict:
         term = message.get("term", 0)

@@ -9,10 +9,10 @@ means the same records go again and the replica skips what it already
 holds — so the control plane (:class:`ReplicationGroup
 <repro.replication.group.ReplicationGroup>`) can retry freely.
 
-When a checkpoint has already folded the needed range into the
-snapshot (``shippable_floor() > acked``), delta shipping is
-impossible and :exc:`SnapshotNeeded` tells the control plane to fall
-back to snapshot catch-up.
+When a checkpoint has folded the needed range into the snapshot, or
+a damaged record breaks the run of records after ``acked``, delta
+shipping is impossible and :exc:`SnapshotNeeded` tells the control
+plane to fall back to snapshot catch-up.
 
 With ``journal=True`` the shipper also keeps an in-memory copy of
 every record that entered the shipped stream, in sequence order —
@@ -22,12 +22,11 @@ sequential replay of the shipped stream".
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
 from repro.errors import ReplicaDiverged, ReplicationError
-from repro.fdb.wal import UpdateLog
+from repro.fdb.wal import UpdateLog, decode_record
 from repro.obs.hooks import OBS
 from repro.replication.transport import encode_snapshot
 
@@ -146,8 +145,11 @@ class WalShipper:
         with self._lock:
             if seq <= self._journal_through:
                 return
-            records = self.log.records_between(self._journal_through,
-                                               seq)
+            # Records at or below the floor live only in the snapshot
+            # (a promoted replica's log starts at its bootstrap point).
+            records = self.log.records_between(
+                max(self._journal_through, self.log.shippable_floor()),
+                seq)
             self._journal.extend(records)
             self._journal_through = max(self._journal_through, seq)
 
@@ -173,20 +175,16 @@ class WalShipper:
             acked = link.acked_seq
             if through_seq <= acked:
                 return acked
-            floor = self.log.shippable_floor()
-            if link.needs_snapshot or acked < floor:
-                raise SnapshotNeeded(link.name, acked, floor)
-            records = self.log.records_between(acked, through_seq)
-            if not records or records[0][0] != acked + 1:
-                # The range (or its head) was folded away between the
-                # floor check and the read — a concurrent checkpoint
-                # truncated the log. Snapshot after all: an empty (or
-                # gapped) append must never go out, because the replica
+            records = [] if link.needs_snapshot \
+                else self.log.records_between(acked, through_seq)
+            if not records:
+                # No record follows ``acked`` in the log: a checkpoint
+                # folded it away, or its line is damaged. An empty
+                # append must never go out, because the replica
                 # advances ``applied_seq`` to the high-water mark and
                 # would silently claim records it never received.
-                floor = (records[0][0] - 1 if records
-                         else self.log.shippable_floor())
-                raise SnapshotNeeded(link.name, acked, floor)
+                raise SnapshotNeeded(link.name, acked,
+                                     self.log.shippable_floor())
             batch = records[: self.batch_limit]
             # A batch boundary must never separate an entry from its
             # compensating abort: the replica skips an aborted entry
@@ -195,7 +193,7 @@ class WalShipper:
             # past the limit.
             while len(batch) < len(records):
                 next_seq, next_line = records[len(batch)]
-                abort_of = json.loads(next_line).get("abort_of")
+                abort_of = decode_record(next_line).get("abort_of")
                 if not isinstance(abort_of, int) \
                         or abort_of > batch[-1][0]:
                     break
@@ -212,17 +210,11 @@ class WalShipper:
             }, "replication.ship", from_seq=acked + 1,
                 through_seq=batch_through, records=len(batch))
             if not reply.get("ok"):
-                error = reply.get("error", "refused")
-                link.note_error(error)
-                if error == "stale-term":
-                    raise ReplicaDiverged(
-                        f"replica {link.name} is at term "
-                        f"{reply.get('term')} — this shipper (term "
-                        f"{self.term}) is deposed"
-                    )
+                error = self._refused(link, reply)
                 if error in ("needs-snapshot", "gap", "diverged"):
                     link.needs_snapshot = True
-                    raise SnapshotNeeded(link.name, acked, floor)
+                    raise SnapshotNeeded(link.name, acked,
+                                         self.log.shippable_floor())
                 raise ReplicationError(
                     f"replica {link.name} refused records: {error}"
                 )
@@ -258,23 +250,26 @@ decode_snapshot`.
         }, "replication.ship_snapshot", wal_applied=wal_applied,
             bytes_raw=raw_bytes, bytes_wire=wire_bytes)
         if not reply.get("ok"):
-            error = reply.get("error", "refused")
-            link.note_error(error)
-            if error == "stale-term":
-                raise ReplicaDiverged(
-                    f"replica {link.name} is at term "
-                    f"{reply.get('term')} — this shipper (term "
-                    f"{self.term}) is deposed"
-                )
-            raise ReplicationError(
-                f"replica {link.name} refused snapshot: {error}"
-            )
+            raise ReplicationError(f"replica {link.name} refused "
+                                   f"snapshot: {self._refused(link, reply)}")
         link.needs_snapshot = False
         link.note_ack(reply.get("applied_seq", wal_applied),
                       reply.get("term", self.term))
         if OBS.enabled:
             OBS.inc("replication.snapshots_shipped")
         return link.acked_seq
+
+    def _refused(self, link: ReplicaLink, reply: dict) -> str:
+        """Note a refusal on the link and return its error; a replica
+        at a newer term means this shipper is deposed."""
+        error = reply.get("error", "refused")
+        link.note_error(error)
+        if error == "stale-term":
+            raise ReplicaDiverged(
+                f"replica {link.name} is at term {reply.get('term')} — "
+                f"this shipper (term {self.term}) is deposed"
+            )
+        return error
 
     def poll_status(self, link: ReplicaLink) -> dict | None:
         """The replica's own view, or ``None`` if unreachable. Status
@@ -318,7 +313,7 @@ decode_snapshot`.
             try:
                 return self._exchange(link, message)
             finally:
-                OBS.observe_log(
+                OBS.observe(
                     f"replication.ship.rtt_seconds.{link.name}",
                     time.perf_counter() - started,
                 )

@@ -69,7 +69,7 @@ class AdmissionGate:
                 self._active += 1
                 self._publish()
                 if OBS.enabled:
-                    OBS.observe_log("service.admission.wait_seconds",
+                    OBS.observe("service.admission.wait_seconds",
                                     time.monotonic() - started)
                 return
             if self._queued >= self.max_queue:
@@ -93,7 +93,7 @@ class AdmissionGate:
                     if self._active < self.max_concurrent:
                         self._active += 1
                         if OBS.enabled:
-                            OBS.observe_log(
+                            OBS.observe(
                                 "service.admission.wait_seconds",
                                 time.monotonic() - started,
                             )

@@ -287,7 +287,7 @@ class DatabaseService:
                 OBS.inc(f"service.red.{family}.requests")
                 if error:
                     OBS.inc(f"service.red.{family}.errors")
-                OBS.observe_log(
+                OBS.observe(
                     f"service.red.{family}.duration_seconds", elapsed
                 )
                 if self.shard is not None:
@@ -295,7 +295,7 @@ class DatabaseService:
                     OBS.inc(f"{prefix}.requests")
                     if error:
                         OBS.inc(f"{prefix}.errors")
-                    OBS.observe_log(
+                    OBS.observe(
                         f"{prefix}.duration_seconds", elapsed
                     )
             self.slo.maybe_evaluate()

@@ -231,7 +231,7 @@ class ShardedDatabaseService:
                 OBS.inc("service.red.multi_write.requests")
                 if error:
                     OBS.inc("service.red.multi_write.errors")
-                OBS.observe_log(
+                OBS.observe(
                     "service.red.multi_write.duration_seconds", elapsed
                 )
 

@@ -95,10 +95,10 @@ def populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("fdb.updates.insert").inc(7)
     registry.gauge("service.active").set(3)
-    sampling = registry.histogram("fdb.query.seconds")
+    query = registry.histogram("fdb.query.seconds")
     for i in range(50):
-        sampling.observe(i / 1000.0)
-    log = registry.log_histogram("service.red.execute.duration_seconds")
+        query.observe(i / 1000.0)
+    log = registry.histogram("service.red.execute.duration_seconds")
     for i in range(1, 101):
         log.observe(i / 1000.0)
     return registry
@@ -111,7 +111,7 @@ class TestPrometheusRoundTrip:
         assert families["fdb_updates_insert_total"]["samples"][
             "fdb_updates_insert_total"] == 7
         assert families["service_active"]["type"] == "gauge"
-        assert families["fdb_query_seconds"]["type"] == "summary"
+        assert families["fdb_query_seconds"]["type"] == "histogram"
         hist = families["service_red_execute_duration_seconds"]
         assert hist["type"] == "histogram"
         assert hist["samples"][

@@ -19,8 +19,8 @@ from repro.obs import (
     OBS,
     Counter,
     Gauge,
-    Histogram,
     Instrumentation,
+    LogHistogram,
     MetricError,
     MetricsRegistry,
     Profiler,
@@ -80,7 +80,7 @@ class TestGauge:
 
 class TestHistogram:
     def test_exact_aggregates(self):
-        h = Histogram("h")
+        h = LogHistogram("h")
         for value in (3.0, 1.0, 2.0):
             h.observe(value)
         assert h.count == 3
@@ -89,36 +89,20 @@ class TestHistogram:
         assert h.min == 1.0
         assert h.max == 3.0
 
-    def test_nearest_rank_percentiles(self):
-        h = Histogram("h")
-        for value in range(1, 101):
-            h.observe(float(value))
-        assert h.percentile(0) == 1.0
-        assert h.percentile(50) == 51.0  # nearest rank on 0..99
-        assert h.percentile(100) == 100.0
-
     def test_empty_percentile_is_zero(self):
-        assert Histogram("h").percentile(95) == 0.0
+        assert LogHistogram("h").percentile(95) == 0.0
 
     def test_percentile_range_checked(self):
         with pytest.raises(MetricError):
-            Histogram("h").percentile(101)
-
-    def test_sample_buffer_bounded_but_aggregates_exact(self):
-        h = Histogram("h", sample_limit=10)
-        for value in range(100):
-            h.observe(float(value))
-        assert h.count == 100
-        assert h.max == 99.0
-        assert len(h._samples) == 10
+            LogHistogram("h").percentile(101)
 
     def test_snapshot_shape(self):
-        h = Histogram("h")
+        h = LogHistogram("h")
         h.observe(2.0)
         snap = h.snapshot()
         assert snap == {
             "count": 1, "total": 2.0, "mean": 2.0, "min": 2.0,
-            "max": 2.0, "p50": 2.0, "p95": 2.0,
+            "max": 2.0, "p50": 2.0, "p95": 2.0, "p99": 2.0,
         }
 
 

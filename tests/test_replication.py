@@ -130,6 +130,25 @@ class TestReplicaApply:
         })
         assert reply == {"ok": False, "error": "gap", "applied_seq": 0}
 
+    def test_non_consecutive_batch_is_a_gap(self, primary, tmp_path):
+        """A batch that skips a sequence number is refused whole, even
+        when it starts right after the replica's position."""
+        logged, _ = primary
+        group = _group()
+        group.attach_primary(logged)
+        replica = Replica("r0", tmp_path / "r0")
+        group.add_replica("r0", replica)
+        for update in section_42_updates()[:3]:
+            logged.execute(update)
+        records = logged.log.records_between(0, 3)
+        reply = replica.handle({
+            "type": "append", "term": group.term,
+            "records": [records[0][1], records[2][1]],
+            "through_seq": 3,
+        })
+        assert reply == {"ok": False, "error": "gap", "applied_seq": 0}
+        assert replica.applied_seq == 0
+
     def test_checksum_tampering_is_refused(self, primary, tmp_path):
         logged, _ = primary
         group = _group()
@@ -230,6 +249,34 @@ class TestShipper:
             group.shipper.ship(link, seq2)
         assert replica.applied_seq == seq  # never past what it holds
         assert link.acked_seq == seq
+
+    def test_damaged_interior_record_falls_back_to_snapshot(
+            self, primary, tmp_path):
+        """A damaged line inside the ship range ends the shipped run:
+        the replica never skips the record it lacks, and snapshot
+        catch-up brings it level with the primary."""
+        logged, workdir = primary
+        group = _group()
+        group.attach_primary(logged)
+        replica = Replica("r0", tmp_path / "r0")
+        group.add_replica("r0", replica)
+        for name in ("gauss", "noether", "hilbert"):
+            logged.execute(Update.ins("teach", name, "cs"))
+        log_path = workdir / "wal.log"
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1][:20]  # seq 2's line cut short
+        log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        link = group.shipper.link("r0")
+        with pytest.raises(SnapshotNeeded):
+            group.shipper.ship(link, 3)
+        assert replica.applied_seq == 1
+        assert replica.db.truth_of("teach", "noether", "cs") \
+            is not Truth.TRUE
+        assert group.sync_all(timeout=5.0)["lagging"] == []
+        assert replica.applied_seq == 3
+        for name in logged.db.base_names:
+            assert replica.db.table(name).rows() == \
+                logged.db.table(name).rows()
 
     def test_batch_boundary_keeps_abort_with_its_entry(
             self, primary, tmp_path):

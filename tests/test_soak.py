@@ -161,6 +161,21 @@ class TestCli:
             main(self.SMALL + flags)
         assert exit_.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--replicas", "1"],
+        ["--shards", "2", "--replicas", "1"],
+    ], ids=["replicated-default-modes", "sharded-sync1"])
+    def test_failover_without_a_follower_fails_at_parse_time(self, flags):
+        """Promoting the only replica leaves no follower, so sync(1)
+        and quorum could never ack the post-failover write."""
+        with pytest.raises(SystemExit) as exit_:
+            main(self.SMALL + flags)
+        assert exit_.value.code == 2
+
+    def test_async_single_replica_parses(self):
+        config = SoakConfig(replicas=1, modes=("async",))
+        assert config.modes == ("async",)
+
     def test_no_faults_reaches_the_replicated_cells(self, tmp_path):
         jsonl = tmp_path / "events.jsonl"
         assert main(self.SMALL + ["--replicas", "1", "--no-faults",

@@ -406,31 +406,51 @@ class TestShippingSurface:
 
     def test_health_cached_until_log_changes(self, setup, monkeypatch):
         """Monitoring scrapes (/metrics, /health, stats) must not pay
-        a full salvage scan per request: health() reuses its scan
-        until the log's (size, mtime) changes."""
-        logged, _, _ = setup
+        a full scan per request: health() reads the log's index, which
+        this log's own appends extend in place. Only a write from
+        outside the log forces a rescan."""
+        logged, _, log_path = setup
         for update in section_42_updates()[:2]:
             logged.execute(update)
         log = logged.log
         scans = []
         real_scan = log._scan
 
-        def counting_scan(policy):
-            scans.append(policy)
-            return real_scan(policy)
+        def counting_scan():
+            scans.append(1)
+            return real_scan()
 
         monkeypatch.setattr(log, "_scan", counting_scan)
         first = log.health()
         assert first["last_seq"] == 2
-        assert len(scans) == 1
-        assert log.health() == first  # a second scrape: cache hit
-        assert len(scans) == 1
-        # the cached view still tracks live (non-scan) state
+        assert log.health() == first  # a second scrape: no scan
+        # the view still tracks live (non-scan) state
         log.term = 7
         assert log.health()["term"] == 7
-        assert len(scans) == 1
-        # an append invalidates the cache and the next scrape rescans
+        # an append by this log extends the index: no rescan
         logged.execute(section_42_updates()[2])
+        assert log.health()["last_seq"] == 3
+        assert scans == []
+        # an append from outside changes the file: the next read rescans
+        with log_path.open("a", encoding="utf-8") as handle:
+            handle.write("garbage\n")
         refreshed = log.health()
-        assert refreshed["last_seq"] == 3
-        assert len(scans) == 2
+        assert refreshed["tail_torn"] is True
+        assert len(scans) == 1
+
+    def test_truncate_to_keeps_damage_below_the_fence(self, setup):
+        """The fence cut removes only what follows the last record at
+        or below the fence; a damaged line beneath it stays, so a
+        salvage scan still reports it."""
+        logged, _, log_path = setup
+        for update in section_42_updates()[:4]:
+            logged.execute(update)
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1][:20]  # line 2 cut short
+        log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        log = UpdateLog(log_path)
+        assert log.truncate_to(3) == 1
+        scan = log.scan("salvage")
+        assert [r.seq for r in scan.records] == [1, 3]
+        assert [(p.line_no, p.kind) for p in scan.problems] == [
+            (2, "parse"), (3, "gap")]
